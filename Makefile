@@ -73,9 +73,12 @@ lifecycle-smoke:
 ## 100K-node perf smoke: re-run the 65,536-node small-step tier (the
 ## full machine over the 4 h matrix horizon) against the checked-in
 ## baseline — exercises the array-backed node state and the batched
-## event kernel at scale while staying seconds-long for CI.  The full
-## paper-65536 / paper-131072 tiers are --slow territory.
+## event kernel at scale while staying seconds-long for CI.  The
+## incremental heartbeat sweep must also match the whole-forest oracle
+## on the 65,536-node, 32-satellite machine.  The full paper-65536 /
+## paper-131072 tiers are --slow territory.
 bench-100k-smoke:
+	$(PYTHON) -m pytest -q --slow tests/rm/test_heartbeat_sweep.py -k machine_scale
 	$(PYTHON) -m repro.cli bench compare benchmarks/BENCH_paper_scale.json --names paper-65536-smoke
 
 ## Smoke: every oracle layer must hold on the current tree, and the

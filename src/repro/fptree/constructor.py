@@ -78,6 +78,17 @@ class ConstructionStats:
             return 1.0
         return self.predicted_on_leaves / self.predicted_total
 
+    def totals(self) -> tuple[int, int, int, int]:
+        """The four counters, in field order."""
+        return (self.trees_built, self.nodes_placed, self.predicted_total, self.predicted_on_leaves)
+
+    def add(self, delta: tuple[int, int, int, int]) -> None:
+        """Add a :meth:`totals`-shaped contribution (cache replays)."""
+        self.trees_built += delta[0]
+        self.nodes_placed += delta[1]
+        self.predicted_total += delta[2]
+        self.predicted_on_leaves += delta[3]
+
 
 #: Construction audit hook: ``(targets, ordered, leaf_idx, predicted)``.
 ConstructObserver = t.Callable[

@@ -26,8 +26,14 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class FailurePredictor(t.Protocol):
     """Protocol every predictor plugin implements."""
 
-    def predict(self, candidates: t.Sequence[int]) -> set[int]:
-        """Subset of ``candidates`` expected to fail soon."""
+    def predict(self, candidates: t.Collection[int]) -> set[int]:
+        """Subset of ``candidates`` expected to fail soon.
+
+        The verdict on a node must not depend on the other candidates:
+        ``predict(A) & B == predict(B)`` for ``B`` within ``A``.  The
+        heartbeat sweep relies on it to ask once for the whole machine
+        (as a ``set``) and then split the answer per satellite part.
+        """
         ...  # pragma: no cover - protocol body
 
 
@@ -37,7 +43,7 @@ class MonitorAlertPredictor:
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
 
-    def predict(self, candidates: t.Sequence[int]) -> set[int]:
+    def predict(self, candidates: t.Collection[int]) -> set[int]:
         return self.cluster.monitor.predicted_failed(among=candidates)
 
 
@@ -47,7 +53,7 @@ class OraclePredictor:
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
 
-    def predict(self, candidates: t.Sequence[int]) -> set[int]:
+    def predict(self, candidates: t.Collection[int]) -> set[int]:
         down = self.cluster.down_ids()
         return {nid for nid in candidates if nid in down}
 
@@ -58,7 +64,7 @@ class StaticSetPredictor:
     def __init__(self, predicted: t.Iterable[int]) -> None:
         self.predicted = set(predicted)
 
-    def predict(self, candidates: t.Sequence[int]) -> set[int]:
+    def predict(self, candidates: t.Collection[int]) -> set[int]:
         return {nid for nid in candidates if nid in self.predicted}
 
 
@@ -66,5 +72,5 @@ class NullPredictor:
     """Predicts nothing — turns the FP-Tree back into a plain tree
     (the paper's "ESLURM without FP-Tree" ablation)."""
 
-    def predict(self, candidates: t.Sequence[int]) -> set[int]:
+    def predict(self, candidates: t.Collection[int]) -> set[int]:
         return set()

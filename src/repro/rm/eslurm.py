@@ -9,9 +9,12 @@ Differences from the centralized engine, all per Section III–V:
 * **satellite failover**: a satellite dying mid-task moves the task to
   the next satellite (at most twice), then the master takes over with
   a plain fan-out tree;
-* **heartbeats** follow the same satellite path; their FP-Tree
-  evaluation is cached against the cluster's liveness/alert versions
-  (failures are rare, heartbeats are not);
+* **heartbeats** follow the same satellite path.  A round re-evaluates
+  the FP-Tree sweep only when the cluster's liveness/alert versions
+  moved (failures are rare, heartbeats are not), and then re-walks only
+  the satellite parts whose predicted-failed or down nodes changed;
+  every other part replays its cached makespan, construction stats and
+  telemetry delta;
 * **job wall limits** come from the runtime-estimation framework when
   one is attached (``estimator="auto"`` builds the paper's default).
 """
@@ -19,6 +22,7 @@ Differences from the centralized engine, all per Section III–V:
 from __future__ import annotations
 
 import typing as t
+from bisect import bisect_right
 
 import numpy as np
 
@@ -48,6 +52,33 @@ SATELLITE_PROFILE = ESLURM_PROFILE.with_overrides(
     rss_per_node_kb=8.0,
     rss_per_job_kb=0.0,
 )
+
+
+class _SweepLayout:
+    """The heartbeat sweep's split of the machine over the running satellites.
+
+    Compute ids ascend, so each part is a contiguous id range and a node
+    belongs to the part whose range holds it.  ``entries[i]`` caches
+    part ``i``'s last walk as ``(key, makespan, stats contribution,
+    telemetry delta)``.
+    """
+
+    def __init__(self, roots: tuple[int, ...], targets: list[int]) -> None:
+        self.roots = roots
+        self.targets = set(targets)
+        self.parts = SatellitePool.split(targets, len(roots))
+        self.starts = [part[0] for part in self.parts]
+        self.ends = [part[-1] for part in self.parts]
+        self.entries: list[tuple | None] = [None] * len(self.parts)
+
+    def buckets(self, ids: t.Iterable[int]) -> list[tuple[int, ...]]:
+        """``ids`` split by part, each bucket ascending."""
+        out: list[list[int]] = [[] for _ in self.parts]
+        for nid in sorted(ids):
+            i = bisect_right(self.starts, nid) - 1
+            if i >= 0 and nid <= self.ends[i]:
+                out[i].append(nid)
+        return [tuple(b) for b in out]
 
 
 class EslurmRM(ResourceManager):
@@ -102,6 +133,7 @@ class EslurmRM(ResourceManager):
         self._takeover_engine = MemoizedBroadcast(TreeBroadcast(width=self.profile.tree_width))
         self._hb_cache_key: tuple[int, int, int] | None = None
         self._hb_cache_makespan = 0.0
+        self._hb_layout: _SweepLayout | None = None
 
     @property
     def fptree_stats(self):
@@ -245,17 +277,62 @@ class EslurmRM(ResourceManager):
         key = (self.cluster.version, self.cluster.monitor.alert_count(), n_sats)
         if key != self._hb_cache_key:
             telemetry.count("rm.heartbeat.fptree_rebuilds")
-            targets = self.cluster.compute_ids()
-            parts = self.sat_pool.split(targets, n_sats)
-            size = DEFAULT_SIZES[MessageKind.HEARTBEAT]
-            sweep = self._fp_engine.simulate_forest(
-                [(d.node.node_id, part) for d, part in zip(running, parts)],
-                size,
-                self.fabric,
-            )
-            self._hb_cache_makespan = max((r.makespan_s for r in sweep), default=0.0)
+            self._hb_cache_makespan = self._heartbeat_sweep(running)
             self._hb_cache_key = key
         self.last_heartbeat_makespan_s = self._hb_cache_makespan
+
+    def _heartbeat_sweep(self, running: list[SatelliteDaemon]) -> float:
+        """Makespan of one FP-Tree sweep over the machine, part by part.
+
+        A part's walk is a pure function of its root, its FP ordering
+        (``predicted & part``), the payload, the fabric and the liveness
+        of its own nodes, so a part whose predicted-failed and down ids
+        are unchanged replays its cached result instead of re-walking.
+        Changed parts walk as forests of one, bit-identical to the same
+        tree inside a whole-machine forest.  Jitter draws RNG per
+        transfer, so under jitter every part walks and nothing is kept.
+        """
+        if not running:
+            return 0.0
+        roots = tuple(d.node.node_id for d in running)
+        layout = self._hb_layout
+        if layout is None or layout.roots != roots:
+            layout = _SweepLayout(roots, self.cluster.compute_ids())
+            self._hb_layout = layout
+        keys = zip(
+            layout.buckets(self.predictor.predict(layout.targets)),
+            layout.buckets(self.fabric.unreachable_ids()),
+        )
+        reuse = self.fabric.config.jitter_frac == 0.0
+        constructor = self._fp_engine.constructor
+        stats = constructor.stats
+        tel = telemetry.active()
+        size = DEFAULT_SIZES[MessageKind.HEARTBEAT]
+        makespans: list[float] = []
+        for i, (root, part, key) in enumerate(zip(roots, layout.parts, keys)):
+            entry = layout.entries[i]
+            # a delta captured with telemetry off cannot replay into a session
+            replay = tel is None or (entry is not None and entry[3] is not None)
+            if reuse and entry is not None and entry[0] == key and replay:
+                _, makespan, contribution, delta = entry
+                if constructor.construct_observers:
+                    # Audits must see every tree: construct (which
+                    # records the stats itself), skip only the walk.
+                    constructor.construct(root, part)
+                else:
+                    stats.add(contribution)
+                if tel is not None:
+                    tel.registry.merge(delta)
+            else:
+                before = stats.totals()
+                with telemetry.capture_delta() as delta:
+                    [res] = self._fp_engine.simulate_forest([(root, part)], size, self.fabric)
+                makespan = res.makespan_s
+                if reuse:
+                    contribution = tuple(a - b for a, b in zip(stats.totals(), before))
+                    layout.entries[i] = (key, makespan, contribution, delta)
+            makespans.append(makespan)
+        return max(makespans, default=0.0)
 
     # -- reporting ---------------------------------------------------------------------
     def report(self, horizon_s: float | None = None):

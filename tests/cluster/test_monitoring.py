@@ -48,6 +48,28 @@ class TestAlerts:
         sim.run(until=2 * HOUR)
         assert cluster.monitor.predicted_failed() == set()
 
+    def test_predicted_failed_matches_the_scan_it_replaced(self):
+        sim, cluster = build(monitoring=MonitoringConfig(alert_ttl_hours=1.0))
+        mon = cluster.monitor
+        candidates = [[], [3, 3, 7, 99], list(range(100)), set(range(0, 100, 2))]
+        steps = [
+            (0.0, [3, 7, 8], {3, 7, 8}),
+            (0.5 * HOUR, [11, 50], {3, 7, 8, 11, 50}),
+            (1.2 * HOUR, [], {11, 50}),  # first batch past its TTL
+            (2.0 * HOUR, [], set()),
+        ]
+        for at, raised, live in steps:
+            sim.run(until=at)
+            for nid in raised:
+                mon.raise_alert(nid, indicator="voltage")
+            assert mon.predicted_failed() == live
+            assert set(mon._alerted) == live  # expired entries pruned
+            for among in candidates:
+                got = mon.predicted_failed(among)
+                assert type(got) is set
+                # the former per-candidate scan
+                assert got == {nid for nid in among if nid in mon._alerted}
+
     def test_alert_carries_indicator(self):
         sim, cluster = build()
         cluster.monitor.raise_alert(1, indicator="temperature")

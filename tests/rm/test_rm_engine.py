@@ -203,6 +203,29 @@ class TestEslurm:
         sim.run(until=700.0)
         assert rm._hb_cache_key != key_before
 
+    def test_heartbeat_rebuild_walks_only_the_changed_part(self):
+        sim, cluster, rm = build("eslurm", n=128, sats=2)
+        rm.start()
+        sim.run(until=300.0)
+        walked = []
+        engine = rm._fp_engine
+        real = engine.simulate_forest
+
+        def spy(tasks, size_bytes, fabric):
+            walked.append([(root, list(targets)) for root, targets in tasks])
+            return real(tasks, size_bytes, fabric)
+
+        engine.simulate_forest = spy
+        key_before = rm._hb_cache_key
+        cluster.monitor.raise_alert(100, spurious=True)
+        sim.run(until=360.0)
+        assert rm._hb_cache_key != key_before  # the alert forced a rebuild ...
+        # ... which walked one tree: the second satellite's half
+        assert len(walked) == 1 and len(walked[0]) == 1
+        root, targets = walked[0][0]
+        assert root == rm.sat_pool.running()[1].node.node_id
+        assert targets == list(range(64, 128))
+
 
 class TestCentralizedFactory:
     def test_unknown_name_rejected(self):
