@@ -9,7 +9,7 @@ test:
 
 ## Tier-1 minus the slow seed sweeps and golden re-runs (CI's quick lane).
 test-fast:
-	$(PYTHON) -m pytest -x -q -m "not slow"
+	$(PYTHON) -m pytest -x -q -m "not slow" --durations=15
 
 ## Everything, including the 25+-seed property sweeps.
 test-slow:

@@ -6,10 +6,12 @@ and leaves a smooth box-constrained QP over (α, α*)::
 
     min_{α,α* ∈ [0,C]}  ½ (α-α*)ᵀ K̃ (α-α*) - yᵀ(α-α*) + ε·1ᵀ(α+α*)
 
-solved with scipy's L-BFGS-B.  Predictions are
-``f(x) = Σ (αᵢ-α*ᵢ) K̃(xᵢ, x)``.  RBF and linear kernels; per-cluster
-training sets in the paper's framework are a few hundred samples, well
-within dense-kernel territory.
+solved with L-BFGS-B through :func:`_lbfgsb_box`, a lean driver over
+scipy's ``setulb`` kernel that produces the same iterates as
+``scipy.optimize.minimize(method="L-BFGS-B")`` without its
+per-evaluation wrapper.  Predictions are ``f(x) = Σ (αᵢ-α*ᵢ) K̃(xᵢ, x)``.
+RBF and linear kernels; per-cluster training sets in the paper's
+framework are a few hundred samples, well within dense-kernel territory.
 """
 
 from __future__ import annotations
@@ -17,9 +19,65 @@ from __future__ import annotations
 import typing as t
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from repro.errors import EstimationError
+
+
+def _lbfgsb_box(
+    fun_and_grad: t.Callable[[np.ndarray], tuple[float, np.ndarray]],
+    n: int,
+    upper: float,
+    max_iter: int,
+) -> np.ndarray:
+    """Minimise over ``[0, upper]ⁿ`` from ``x = 0`` with L-BFGS-B.
+
+    Mirrors the loop of ``scipy.optimize._lbfgsb_py._minimize_lbfgsb``
+    (scipy ≥ 1.15: the C ``setulb`` with integer ``task``) at the
+    defaults ``minimize`` uses: ``maxcor=10``, ``ftol=2.22e-9``,
+    ``gtol=1e-5``, ``maxls=20``, ``maxfun=15000``.  L-BFGS-B's iterates
+    depend only on the ``(f, g)`` values ``setulb`` receives, and
+    ``fun_and_grad`` is a pure function of ``x``, so evaluating it on
+    every request instead of through scipy's memoising
+    ``ScalarFunction`` hands ``setulb`` the same values and returns the
+    same ``x``, bit for bit.  Evaluations are counted as
+    ``ScalarFunction.nfev`` counts them (its evaluation at ``x0`` stands
+    in for ``setulb``'s first request), so the iteration-limit (504) and
+    evaluation-limit (502) stops fire at the same iterate.
+
+    ``fun_and_grad`` receives ``setulb``'s own ``x``: it must neither
+    write to it nor keep it.
+    """
+    m = 10
+    x = np.zeros(n)
+    low = np.zeros(n)
+    up = np.full(n, float(upper))
+    nbd = np.full(n, 2, dtype=np.int32)  # 2: bounded below and above
+    f = 0.0
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    n_iter = nfev = 0
+    while True:
+        _lbfgsb.setulb(m, x, low, up, nbd, f, g, factr, 1e-5, wa, iwa, task,
+                       lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # evaluate f and g at the current x
+            f, g = fun_and_grad(x)
+            nfev += 1
+        elif task[0] == 1:  # a new iterate
+            n_iter += 1
+            if n_iter >= max_iter:
+                task[0], task[1] = 5, 504
+            elif nfev > 15000:
+                task[0], task[1] = 5, 502
+        else:
+            return x
 
 
 def _rbf(
@@ -35,7 +93,7 @@ class SVR:
     """ε-SVR with RBF (default) or linear kernel.
 
     Args:
-        C: box constraint (regularisation inverse).
+        C: box constraint (regularisation inverse), finite.
         epsilon: width of the insensitive tube.
         kernel: ``"rbf"`` or ``"linear"``.
         gamma: RBF width; ``None`` uses 1 / (n_features · var(X)), the
@@ -52,8 +110,8 @@ class SVR:
         bias_term: float = 1.0,
         max_iter: int = 300,
     ) -> None:
-        if C <= 0 or epsilon < 0:
-            raise EstimationError("C must be positive and epsilon non-negative")
+        if not 0 < C < np.inf or epsilon < 0:
+            raise EstimationError("C must be positive and finite, epsilon non-negative")
         if kernel not in ("rbf", "linear", "rbf+linear"):
             raise EstimationError(f"unknown kernel {kernel!r}")
         self.C = C
@@ -110,16 +168,7 @@ class SVR:
             grad = np.concatenate([Kb - y + eps, -Kb + y + eps])
             return val, grad
 
-        theta0 = np.zeros(2 * n)
-        res = minimize(
-            objective,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, C)] * (2 * n),
-            options={"maxiter": self.max_iter},
-        )
-        theta = res.x
+        theta = _lbfgsb_box(objective, 2 * n, C, self.max_iter)
         self._beta = theta[:n] - theta[n:]
         self._X = X
         # Support-vector row norms, reused by every prediction — the

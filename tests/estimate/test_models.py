@@ -56,6 +56,8 @@ class TestSVR:
         with pytest.raises(EstimationError):
             SVR(C=0)
         with pytest.raises(EstimationError):
+            SVR(C=np.inf)
+        with pytest.raises(EstimationError):
             SVR(kernel="poly")
         with pytest.raises(EstimationError):
             SVR().fit(np.ones((0, 3)), np.ones(0))
