@@ -7,11 +7,9 @@ This module is the supported entry point for scripting the library::
     result = run_simulation(SimulationConfig(rm="eslurm", n_nodes=4096, seed=7))
     print(result.report.summary())
 
-It subsumes the helpers that historically lived in
-``repro.experiments.harness`` (``quick_cluster`` / ``build_rm`` /
-``run_rm_day`` — those import paths still resolve but emit a
-``DeprecationWarning``) and adds keyword-only dataclass configs so every
-knob is named at the call site.
+It holds the one-call helpers (``quick_cluster`` / ``build_rm`` /
+``run_rm_day``) and keyword-only dataclass configs so every knob is
+named at the call site.
 
 :mod:`repro.api.requests` adds the typed request/response envelopes —
 ``SimulateRequest`` / ``ChaosRequest`` / ``VerifyRequest`` /
@@ -97,21 +95,11 @@ class SimulationConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     placement: str = "first-fit"
     malleable: bool = False
-    #: job-lifecycle engine: "fsm" (flat timer-lane fast path, default)
-    #: or "generator" (the reference Process implementation).  Not part
-    #: of the wire envelopes — the gateway always serves the default.
-    lifecycle: str = "fsm"
 
     def __post_init__(self) -> None:
         if self.rm not in RM_PROFILES:
             raise ConfigurationError(
                 f"unknown RM {self.rm!r}; choose from {sorted(RM_PROFILES)}"
-            )
-        from repro.rm.base import LIFECYCLE_MODES
-
-        if self.lifecycle not in LIFECYCLE_MODES:
-            raise ConfigurationError(
-                f"unknown lifecycle {self.lifecycle!r}; choose from {LIFECYCLE_MODES}"
             )
         if self.n_nodes < 1 or self.n_jobs < 0 or self.horizon_s <= 0:
             raise ConfigurationError("n_nodes/n_jobs/horizon_s out of range")
@@ -270,8 +258,6 @@ def rm_kwargs_for_config(
         rm_kwargs["placement"] = build_placement(
             config.placement, cluster.topology, alert_source=cluster.monitor
         )
-    if config.lifecycle != "fsm":
-        rm_kwargs["lifecycle"] = config.lifecycle
     return rm_kwargs
 
 

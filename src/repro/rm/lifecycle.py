@@ -1,12 +1,11 @@
-"""Flat, table-driven FSM job lifecycle — the hot-path twin of
-:meth:`repro.rm.base.ResourceManager._run_job`.
+"""Flat, table-driven FSM job lifecycle — the RM engine's only job path.
 
-The generator lifecycle pays, per job, a bootstrap event, a ``Timeout``
-allocation + ``Process._resume`` round-trip per phase, a completion
-event, and (on kill/resize) an interrupt event carrying an exception.
-At paper scale — 10K jobs over a 16K-node day — that dispatch machinery
-*is* the remaining hot path (ROADMAP: "per-event Python dispatch in the
-process/generator layer").
+A generator lifecycle (one :class:`~repro.simkit.process.Process` per
+job) pays, per job, a bootstrap event, a ``Timeout`` allocation +
+``Process._resume`` round-trip per phase, a completion event, and (on
+kill/resize) an interrupt event carrying an exception.  At paper scale
+— 10K jobs over a 16K-node day — that dispatch machinery was the hot
+path.
 
 :class:`JobLifecycle` replaces all of it with one re-armable
 :class:`~repro.simkit.events.Timer` per job and a phase table of plain
@@ -29,20 +28,19 @@ bound-method callbacks:
   for its makespan; on fire the job finishes and releases.
 
 Kills (node failure, master-crash orphaning) arrive through
-:meth:`JobLifecycle.interrupt` — same entry point the generator path
-uses — and run synchronously: the pending timer is lazily cancelled and
-the job fails/releases immediately, which lands at the same simulated
-time as the generator's same-tick URGENT interrupt delivery.
-Interrupting a DONE lifecycle is a silent no-op, mirroring the
-``triggered`` guard that makes a late generator interrupt delivery
-no-op (see :meth:`repro.simkit.process.Process.interrupt`).
+:meth:`JobLifecycle.interrupt` — the entry point a ``Process`` offers —
+and run synchronously: the pending timer is lazily cancelled and the
+job fails/releases immediately, which lands at the same simulated time
+as a generator's same-tick URGENT interrupt delivery.  Interrupting a
+DONE lifecycle is a silent no-op, mirroring the ``triggered`` guard
+that makes a late generator interrupt delivery no-op (see
+:meth:`repro.simkit.process.Process.interrupt`).
 
-The generator path stays selectable (``lifecycle="generator"``) as the
-reference implementation; the ``lifecycle-equivalence`` oracle relation
-(:mod:`repro.oracle.differential`) proves the two produce identical
-per-job start/end times, end states, node assignments and schedule
-metrics on seeded workloads, including malleable + failure + crash
-scenarios.
+The generator lifecycle survives as a test oracle
+(``tests/rm/generator_oracle.py``): the lifecycle-equivalence tests
+hold the two byte-identical — per-job start/end times, end states, node
+assignments, accounting, schedule metrics and telemetry — on seeded
+workloads, including malleable + failure + crash scenarios.
 """
 
 from __future__ import annotations

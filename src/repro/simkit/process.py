@@ -6,10 +6,11 @@ fires (or throws the event's exception into it).  A :class:`Process` is
 itself an event that fires with the generator's return value, so processes
 can wait on each other.
 
-This is the *reference* lifecycle engine: the hot job path in
-:mod:`repro.rm.lifecycle` re-implements the same phases as a flat FSM on
-the kernel's timer lane, and the ``lifecycle-equivalence`` oracle
-relation holds the two implementations byte-comparable.
+The RM engine runs no processes — jobs are flat FSMs
+(:mod:`repro.rm.lifecycle`) and its periodic loops are timers on the
+kernel's timer lane.  Processes serve simulations written as plain
+generators (the placement study's builder loop) and the test suite's
+generator-lifecycle oracle the FSM is checked against.
 """
 
 from __future__ import annotations

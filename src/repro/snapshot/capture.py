@@ -165,13 +165,8 @@ def _rm_state(rm: t.Any) -> dict[str, t.Any]:
         "resize_shrinks": rm.resize_shrinks,
         "resize_ok": sorted(rm._resize_ok),
         "live_job_procs": sorted(rm._job_procs),
-        # FSM-path lifecycles expose structural phase state; generator
-        # Processes don't (their phase lives in an opaque frame), so
-        # this maps only FSM entries (empty on the generator path).
         "lifecycles": {
-            str(job_id): proc.snapshot_state()
-            for job_id, proc in sorted(rm._job_procs.items())
-            if hasattr(proc, "snapshot_state")
+            str(job_id): lc.snapshot_state() for job_id, lc in sorted(rm._job_procs.items())
         },
         "occupation": _tally_state(rm._occupation),
         "broadcast": _tally_state(rm._bcast_tally),

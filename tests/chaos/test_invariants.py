@@ -19,7 +19,7 @@ from repro.chaos import (
     SchedulerConservation,
     default_invariants,
 )
-from repro.chaos.invariants import MAX_RECORDED_PER_INVARIANT
+from repro.oracle.invariants import MAX_RECORDED_PER_INVARIANT
 from repro.cluster import ClusterSpec
 from repro.cluster.failures import FailureModel
 from repro.rm.eslurm import EslurmRM

@@ -1,4 +1,4 @@
-"""The repro.api facade: configs, run_simulation, and the harness shim."""
+"""The repro.api facade: configs, run_simulation, and the package re-exports."""
 
 import warnings
 
@@ -80,25 +80,8 @@ class TestRunSimulation:
 
 
 class TestHarnessShim:
-    def test_old_imports_resolve_with_deprecation_warning(self):
-        import repro.api
-        import repro.experiments.harness as harness
-
-        for name in ("DAY", "quick_cluster", "build_rm", "run_rm_day"):
-            with pytest.warns(DeprecationWarning, match="repro.api"):
-                assert getattr(harness, name) is getattr(repro.api, name)
-
-    def test_from_import_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments.harness import quick_cluster as shimmed
-        cluster = shimmed(n_nodes=16)
-        assert cluster.n_nodes == 16
-
-    def test_unknown_attribute_still_errors(self):
-        import repro.experiments.harness as harness
-
-        with pytest.raises(AttributeError):
-            harness.no_such_thing
+    """The ``repro.experiments.harness`` shim is gone; the package's own
+    re-exports of the :mod:`repro.api` helpers import without warnings."""
 
     def test_experiments_package_import_warns_nothing(self):
         with warnings.catch_warnings():

@@ -1,9 +1,10 @@
 """Unit tests for the flat FSM job lifecycle (``repro.rm.lifecycle``).
 
-The FSM is the default engine; the generator path stays selectable as
-the reference.  These tests pin the phase walk, the kill/no-op edges,
-malleable retiming, and the crashed-master hold — each against the
-generator where the comparison is meaningful.
+The FSM is the engine's only job path; the generator lifecycle lives on
+as the test oracle in :mod:`tests.rm.generator_oracle`.  These tests pin
+the phase walk, the kill/no-op edges, malleable retiming, and the
+crashed-master hold — each against the generator where the comparison
+is meaningful.
 """
 
 import pytest
@@ -14,19 +15,25 @@ from repro.rm.lifecycle import DONE, HOLD, TERM, WORK, JobLifecycle
 from repro.sched import BackfillScheduler
 from repro.sched.job import Job, JobState
 from repro.simkit import Simulator
+from tests.rm.generator_oracle import engine
 
 HOUR = 3600.0
 
 
-def build(n=8, seed=0, lifecycle="fsm", malleable=False):
+@pytest.fixture
+def lifecycle(request):
+    """The engine a test runs on: the FSM, or the generator oracle."""
+    with engine(request.param):
+        yield request.param
+
+
+def build(n=8, seed=0, malleable=False):
     sim = Simulator(seed=seed)
     cluster = ClusterSpec(
         n_nodes=n, n_satellites=2, failure_model=FailureModel.disabled()
     ).build(sim)
     scheduler = BackfillScheduler(malleable=True) if malleable else None
-    rm = CentralizedRM.from_name(
-        "slurm", sim, cluster, scheduler=scheduler, lifecycle=lifecycle
-    )
+    rm = CentralizedRM.from_name("slurm", sim, cluster, scheduler=scheduler)
     return sim, cluster, rm
 
 
@@ -105,13 +112,13 @@ class TestKillPath:
         assert j.state is JobState.FAILED
         assert rm.pool.n_free == 8
 
-    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"])
+    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"], indirect=True)
     def test_same_tick_double_failure_kills_once(self, lifecycle):
         """Two failure events at one instant hitting the same job: both
         paths must fail the job exactly once at that time — the FSM via
         its DONE no-op, the generator via the triggered-guard on the
         second (deferred) interrupt delivery."""
-        sim, _, rm = build(lifecycle=lifecycle)
+        sim, _, rm = build()
         j = rigid(1, n_nodes=4, runtime=500.0)
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
@@ -130,9 +137,9 @@ class TestKillPath:
 
 
 class TestMalleableRetime:
-    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"])
+    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"], indirect=True)
     def test_shrink_stretches_wall_clock_work_conserving(self, lifecycle):
-        sim, _, rm = build(malleable=True, lifecycle=lifecycle)
+        sim, _, rm = build(malleable=True)
         hog = elastic(1, 8, 2, 8, runtime=1000.0, est=3000.0, submit=1.0)
         head = rigid(2, 4, runtime=3000.0, est=4000.0, submit=60.0)
         rm.run_trace([hog, head], until=6 * HOUR)
@@ -143,18 +150,19 @@ class TestMalleableRetime:
     def test_fsm_and_generator_retime_identically(self):
         ends = {}
         for lifecycle in ("fsm", "generator"):
-            sim, _, rm = build(malleable=True, lifecycle=lifecycle)
-            hog = elastic(1, 8, 2, 8, runtime=1000.0, est=3000.0, submit=1.0)
-            head = rigid(2, 4, runtime=3000.0, est=4000.0, submit=60.0)
-            rm.run_trace([hog, head], until=6 * HOUR)
+            with engine(lifecycle):
+                sim, _, rm = build(malleable=True)
+                hog = elastic(1, 8, 2, 8, runtime=1000.0, est=3000.0, submit=1.0)
+                head = rigid(2, 4, runtime=3000.0, est=4000.0, submit=60.0)
+                rm.run_trace([hog, head], until=6 * HOUR)
             ends[lifecycle] = (hog.start_time, hog.end_time, head.start_time, head.end_time)
         assert ends["fsm"] == ends["generator"]
 
 
 class TestMasterCrashHold:
-    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"])
+    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"], indirect=True)
     def test_completion_during_crash_holds_resources(self, lifecycle):
-        sim, _, rm = build(lifecycle=lifecycle)
+        sim, _, rm = build()
         j = rigid(1, runtime=100.0)
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
